@@ -131,6 +131,8 @@ type Cache struct {
 	// hintMask is the admitted-register bitmask when Config.Hints is
 	// set; 0 admits everything (the dynamic ISCA'11 mode).
 	hintMask uint64
+	// flushed is FlushWarp's reused result buffer.
+	flushed []isa.Reg
 }
 
 // New returns an empty cache.
@@ -273,10 +275,11 @@ func (c *Cache) install(es []entry, r isa.Reg, dirty bool) (victim isa.Reg, writ
 
 // FlushWarp writes back the warp's dirty entries and invalidates all of
 // them — the two-level scheduler calls this when the warp is demoted
-// from the active pool. It returns the registers written back to the MRF.
+// from the active pool. It returns the registers written back to the MRF
+// in a buffer the next FlushWarp call reuses.
 func (c *Cache) FlushWarp(warp int) []isa.Reg {
 	es := c.slot(warp)
-	var dirty []isa.Reg
+	dirty := c.flushed[:0]
 	for i := range es {
 		if es[i].valid && es[i].dirty {
 			dirty = append(dirty, es[i].reg)
@@ -285,6 +288,7 @@ func (c *Cache) FlushWarp(warp int) []isa.Reg {
 	}
 	c.stats.Flushes++
 	c.stats.DirtyWB += uint64(len(dirty))
+	c.flushed = dirty
 	return dirty
 }
 

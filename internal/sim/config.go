@@ -285,6 +285,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: %d operand collectors", c.OperandCollectors)
 	case c.MemLatency <= 0 || c.MaxMemInflight <= 0:
 		return fmt.Errorf("sim: memory latency %d / inflight %d", c.MemLatency, c.MaxMemInflight)
+	// Every scheduled event must land after the cycle that schedules it:
+	// the event wheel drains a cycle once, before the stages that push.
+	case c.ALULatency <= 0 || c.FPULatency <= 0 || c.SFULatency <= 0 || c.SharedLatency <= 0:
+		return fmt.Errorf("sim: execution latencies ALU %d / FPU %d / SFU %d / shared %d",
+			c.ALULatency, c.FPULatency, c.SFULatency, c.SharedLatency)
+	case c.RF.Lat.MRF <= 0 || c.RF.Lat.FRFHigh <= 0 || c.RF.Lat.FRFLow <= 0 || c.RF.Lat.SRF <= 0:
+		return fmt.Errorf("sim: RF partition latencies MRF %d / FRF %d (low %d) / SRF %d",
+			c.RF.Lat.MRF, c.RF.Lat.FRFHigh, c.RF.Lat.FRFLow, c.RF.Lat.SRF)
+	case c.RFCMRFLatency <= 0:
+		return fmt.Errorf("sim: RFC-backed MRF latency %d", c.RFCMRFLatency)
 	case c.Policy == PolicyTL && c.TLActiveWarps < c.Schedulers:
 		return fmt.Errorf("sim: TL active pool %d smaller than %d schedulers", c.TLActiveWarps, c.Schedulers)
 	case c.Policy == PolicyFetchGroup && c.FetchGroupWarps <= 0:

@@ -34,8 +34,10 @@ func newSchedState(id int, slots []int, policy Policy, activePool int) *schedSta
 }
 
 // pickWarp returns the next warp slot to attempt issue from, or -1. The
-// canIssue callback must be side-effect free; the scheduler probes
-// candidates with it.
+// scheduler probes candidates with canIssue, which counts a collector
+// stall on every probe blocked only by full collectors (see
+// sm.canIssue): each policy's probe sequence is part of the simulated
+// statistics, so it must not change.
 func (sc *schedState) pickWarp(sm *sm, canIssue func(slot int) bool) int {
 	switch sm.cfg.Policy {
 	case PolicyLRR:
@@ -135,7 +137,7 @@ func (sc *schedState) demote(sm *sm, slot int) {
 			if sm.rfcCache != nil {
 				w := sm.warps[slot]
 				for _, r := range sm.rfcCache.FlushWarp(slot) {
-					sm.enqueueBankWrite(w, r, nil)
+					sm.enqueueBankWrite(w, r, doneNone)
 				}
 			}
 			sc.promote(sm)

@@ -429,6 +429,41 @@ func TestKeplerConfigMatchesTable2(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonPositiveLatency: a zero or negative latency would
+// schedule an event into the cycle already drained, so Validate refuses
+// every latency that feeds the event wheel.
+func TestConfigRejectsNonPositiveLatency(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, int)
+	}{
+		{"ALU", func(c *Config, v int) { c.ALULatency = v }},
+		{"FPU", func(c *Config, v int) { c.FPULatency = v }},
+		{"SFU", func(c *Config, v int) { c.SFULatency = v }},
+		{"shared", func(c *Config, v int) { c.SharedLatency = v }},
+		{"memory", func(c *Config, v int) { c.MemLatency = v }},
+		{"MRF", func(c *Config, v int) { c.RF.Lat.MRF = v }},
+		{"FRF high", func(c *Config, v int) { c.RF.Lat.FRFHigh = v }},
+		{"FRF low", func(c *Config, v int) { c.RF.Lat.FRFLow = v }},
+		{"SRF", func(c *Config, v int) { c.RF.Lat.SRF = v }},
+		{"RFC MRF", func(c *Config, v int) { c.RFCMRFLatency = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []int{0, -1} {
+			cfg := testConfig()
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s latency %d accepted", f.name, v)
+			}
+		}
+		cfg := testConfig()
+		f.set(&cfg, 1)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s latency 1 rejected: %v", f.name, err)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := testConfig()
 	bad.Schedulers = 0

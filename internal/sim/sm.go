@@ -24,6 +24,7 @@ type sm struct {
 	banks             []bankState
 	collectors        int // units currently in use
 	pendingCollectors []*collectorUnit
+	freeCollectors    []*collectorUnit // dispatched units, recycled at issue
 	mem               memUnit
 
 	rf       *regfile.File
@@ -33,9 +34,8 @@ type sm struct {
 	// Config.Gating is set). Purely observational.
 	gate *design.GatingTracker
 
-	now      int64
-	events   eventHeap
-	eventSeq uint64
+	now    int64
+	events eventWheel
 
 	residentCTAs int
 	liveWarps    int
@@ -93,6 +93,9 @@ func newSM(id int, cfg *Config, run *runState) (*sm, error) {
 		warps: make([]*warpCtx, cfg.WarpSlotsPerSM),
 		banks: make([]bankState, cfg.RF.Banks),
 		rf:    rf,
+		events: newEventWheel(max(cfg.MemLatency, cfg.SharedLatency,
+			cfg.ALULatency, cfg.FPULatency, cfg.SFULatency, cfg.RFCMRFLatency,
+			cfg.RF.Lat.MRF, cfg.RF.Lat.FRFHigh, cfg.RF.Lat.FRFLow, cfg.RF.Lat.SRF)),
 	}
 	s.profCtl, err = profile.NewController(cfg.Profiling, cfg.ProfTopN, maxInt(cfg.RF.FRFRegs, cfg.ProfTopN), s.rf.Mapper())
 	if err != nil {
@@ -234,7 +237,9 @@ func (s *sm) launchCTA(ctaID int) {
 		}
 	}
 	s.residentCTAs++
-	s.trace(TraceCTALaunch, -1, -1, "cta %d (%d warps)", ctaID, warpsPer)
+	if s.cfg.Tracer != nil {
+		s.trace(TraceCTALaunch, -1, -1, "cta %d (%d warps)", ctaID, warpsPer)
+	}
 	if s.rec != nil {
 		s.record(flightrec.KindCTALaunch, -1, -1, uint64(ctaID), uint64(warpsPer), "")
 	}
@@ -258,7 +263,7 @@ func (s *sm) takeSlot() int {
 
 // busy reports whether the SM still has resident work or in-flight events.
 func (s *sm) busy() bool {
-	return s.liveWarps > 0 || len(s.events) > 0
+	return s.liveWarps > 0 || s.events.len() > 0
 }
 
 // tick advances the SM by one cycle. The perfscope hooks (s.pf) are
@@ -303,12 +308,14 @@ func (s *sm) tick() {
 		a.OnIssue(s.issuedEpoch)
 		a.Tick()
 		if low := a.LowPower(); low != s.wasLowPower {
-			s.trace(TraceModeSwitch, -1, -1, "FRF %s power", map[bool]string{true: "low", false: "high"}[low])
+			mode, toLow := "high", uint64(0)
+			if low {
+				mode, toLow = "low", 1
+			}
+			if s.cfg.Tracer != nil {
+				s.trace(TraceModeSwitch, -1, -1, "FRF %s power", mode)
+			}
 			if s.rec != nil {
-				var toLow uint64
-				if low {
-					toLow = 1
-				}
 				s.record(flightrec.KindModeFlip, -1, -1, toLow, 0, "")
 			}
 			s.wasLowPower = low
@@ -316,7 +323,7 @@ func (s *sm) tick() {
 	}
 	s.run.stats.WarpInstrs += uint64(s.issuedEpoch)
 	for b := range s.banks {
-		s.run.stats.BankQueueSum += uint64(len(s.banks[b].queue))
+		s.run.stats.BankQueueSum += uint64(s.banks[b].queue.len())
 	}
 	if pf != nil {
 		t0 = pf.lap(perfscope.PhaseAdaptive, t0)
@@ -355,8 +362,13 @@ func (s *sm) scheduleIssue(sc *schedState) {
 	}
 }
 
-// canIssue is the side-effect-free issue check: residency, barriers,
-// branch shadow, scoreboard, and structural (collector) hazards.
+// canIssue is the issue check: residency, barriers, branch shadow,
+// scoreboard, and structural (collector) hazards. It is not free of side
+// effects: a probe that fails on the collector hazard counts one
+// CollectorStalls, so that statistic depends on how often and in which
+// order the scheduler probes. An incrementally maintained ready-set that
+// skipped probes would therefore change a deterministic metric, which is
+// why the schedulers still poll every candidate each cycle.
 func (s *sm) canIssue(slot int) bool {
 	w := s.warps[slot]
 	if w == nil || w.done || w.atBarrier || w.blockedUntil > s.now || w.finished() {
@@ -399,7 +411,9 @@ func (s *sm) issue(sc *schedState, w *warpCtx) {
 	s.issuedEpoch++
 	w.lastIssue = s.now
 	s.run.stats.ThreadInstrs += uint64(popcount(activeMask))
-	s.trace(TraceIssue, w.slot, w.pc(), "%s [lanes %d]", in.String(), popcount(activeMask))
+	if s.cfg.Tracer != nil {
+		s.trace(TraceIssue, w.slot, w.pc(), "%s [lanes %d]", in.String(), popcount(activeMask))
+	}
 	if s.rec != nil {
 		s.record(flightrec.KindIssue, w.slot, w.pc(), uint64(in.Op), uint64(activeMask), in.Op.String())
 	}
@@ -456,7 +470,8 @@ func (s *sm) issue(sc *schedState, w *warpCtx) {
 	w.inFlight++
 
 	// Operand collection: reads via the RFC (if enabled) or the banks.
-	col := &collectorUnit{warp: w, in: in, execMask: execMask}
+	col := s.takeCollector()
+	*col = collectorUnit{warp: w, in: in, execMask: execMask}
 	if s.rfcCache != nil {
 		// The RFC read stage takes a cycle of its own; hits are
 		// cheap in energy, not free in time.
@@ -517,7 +532,9 @@ func (s *sm) issueControl(sc *schedState, w *warpCtx, in *isa.Instruction, activ
 		w.advance()
 		w.atBarrier = true
 		w.cta.arrived++
-		s.trace(TraceBarrier, w.slot, -1, "arrived (%d/%d)", w.cta.arrived, w.cta.live)
+		if s.cfg.Tracer != nil {
+			s.trace(TraceBarrier, w.slot, -1, "arrived (%d/%d)", w.cta.arrived, w.cta.live)
+		}
 		s.checkBarrier(w.cta)
 		if s.cfg.Policy == PolicyTL {
 			sc.demote(s, w.slot)
@@ -546,7 +563,9 @@ func (s *sm) retireWarp(w *warpCtx) {
 	if s.gate != nil {
 		s.gate.OnWarpRetire(w.slot)
 	}
-	s.trace(TraceWarpRetire, w.slot, -1, "cta %d", w.cta.id)
+	if s.cfg.Tracer != nil {
+		s.trace(TraceWarpRetire, w.slot, -1, "cta %d", w.cta.id)
+	}
 	if s.rec != nil {
 		s.record(flightrec.KindWarpRetire, w.slot, -1, uint64(w.cta.id), 0, "")
 	}
@@ -665,30 +684,38 @@ func (s *sm) tickCollectors() {
 			s.pf.dispatched++
 		}
 		s.dispatch(col)
+		s.freeCollectors = append(s.freeCollectors, col)
 	}
 	s.pendingCollectors = kept
+}
+
+// takeCollector returns a recycled collector unit, or a new one.
+func (s *sm) takeCollector() *collectorUnit {
+	if n := len(s.freeCollectors); n > 0 {
+		col := s.freeCollectors[n-1]
+		s.freeCollectors = s.freeCollectors[:n-1]
+		return col
+	}
+	return new(collectorUnit)
 }
 
 // dispatch models the execution stage of a collected instruction and its
 // writeback.
 func (s *sm) dispatch(col *collectorUnit) {
 	w, in := col.warp, col.in
-	s.trace(TraceDispatch, w.slot, -1, "%s to %s", in.Op, in.Op.ClassOf())
+	if s.cfg.Tracer != nil {
+		s.trace(TraceDispatch, w.slot, -1, "%s to %s", in.Op, in.Op.ClassOf())
+	}
 	switch {
 	case in.Op.IsGlobalMemory():
-		s.trace(TraceMemStart, w.slot, -1, "%s", in.Op)
-		s.memDispatch(func() {
-			s.trace(TraceMemDone, w.slot, -1, "%s", in.Op)
-			w.memInFlight--
-			if s.cfg.Policy == PolicyTL {
-				s.schedulers[w.slot%s.cfg.Schedulers].promote(s)
-			}
-			s.writeback(w, in)
-		})
+		if s.cfg.Tracer != nil {
+			s.trace(TraceMemStart, w.slot, -1, "%s", in.Op)
+		}
+		s.memDispatch(w, in)
 	case in.Op == isa.OpLDS || in.Op == isa.OpSTS:
-		s.schedule(s.now+int64(s.cfg.SharedLatency), func() { s.writeback(w, in) })
+		s.events.push(event{cycle: s.now + int64(s.cfg.SharedLatency), kind: evWriteback, warp: w, in: in})
 	default:
-		s.schedule(s.now+int64(s.unitLatency(in)), func() { s.writeback(w, in) })
+		s.events.push(event{cycle: s.now + int64(s.unitLatency(in)), kind: evWriteback, warp: w, in: in})
 	}
 }
 
@@ -706,7 +733,9 @@ func (s *sm) unitLatency(in *isa.Instruction) int {
 // writeback retires an instruction: predicate results complete here;
 // register results go through an RFC write or a bank write transaction.
 func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
-	s.trace(TraceWriteback, w.slot, -1, "%s", in.Op)
+	if s.cfg.Tracer != nil {
+		s.trace(TraceWriteback, w.slot, -1, "%s", in.Op)
+	}
 	if in.PDst.Valid() {
 		w.pendingPreds &^= 1 << uint(in.PDst)
 	}
@@ -719,16 +748,13 @@ func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
 		// Only active-pool warps own RFC storage; a demoted warp's
 		// late results bypass the cache straight to the MRF.
 		if s.cfg.Policy == PolicyTL && !s.schedulers[w.slot%s.cfg.Schedulers].inActive(w.slot) {
-			s.enqueueBankWrite(w, d, func() {
-				w.pendingRegs &^= 1 << uint(d)
-				s.completeInstr(w)
-			})
+			s.enqueueBankWrite(w, d, doneRelease)
 			return
 		}
 		// Results write into the RFC; dirty evictions emit MRF bank
 		// writes that retire in the background.
 		if victim, wb := s.rfcCache.Write(w.slot, d); wb {
-			s.enqueueBankWrite(w, victim, nil)
+			s.enqueueBankWrite(w, victim, doneNone)
 		}
 		w.pendingRegs &^= 1 << uint(d)
 		s.completeInstr(w)
@@ -738,13 +764,10 @@ func (s *sm) writeback(w *warpCtx, in *isa.Instruction) {
 		// The result is forwarded to dependents now; the bank write
 		// retires in the background (energy + occupancy only).
 		w.pendingRegs &^= 1 << uint(d)
-		s.enqueueBankWrite(w, d, func() { s.completeInstr(w) })
+		s.enqueueBankWrite(w, d, doneComplete)
 		return
 	}
-	s.enqueueBankWrite(w, d, func() {
-		w.pendingRegs &^= 1 << uint(d)
-		s.completeInstr(w)
-	})
+	s.enqueueBankWrite(w, d, doneRelease)
 }
 
 func (s *sm) completeInstr(w *warpCtx) {

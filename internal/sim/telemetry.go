@@ -136,7 +136,7 @@ func (s *sm) observeCycle() {
 		st.StallBreakdown[c]++
 	}
 	for b := range s.banks {
-		t.cur.bankQueueSum += uint64(len(s.banks[b].queue))
+		t.cur.bankQueueSum += uint64(s.banks[b].queue.len())
 	}
 	if t.rec == nil {
 		return
